@@ -15,10 +15,11 @@ namespace tgcrn {
 namespace ag {
 namespace {
 
-// Flop budget per ParallelFor chunk, mirroring the batched-matmul driver
-// (tensor/tensor.cc). Grain only moves chunk boundaries between disjoint
-// row/column/slot ranges, so it never affects results.
-constexpr int64_t kSpmmGrainFlops = 4096;
+// Flop budget per ParallelFor chunk, and so the serial cutoff, mirroring
+// the batched-matmul driver (tensor/tensor.cc); calibrated at pool width 2
+// (DESIGN.md section 7). Grain only moves chunk boundaries between
+// disjoint row/column/slot ranges, so it never affects results.
+constexpr int64_t kSpmmGrainFlops = 131072;
 
 int64_t RowGrain(int64_t per_row_flops) {
   return std::max<int64_t>(1,

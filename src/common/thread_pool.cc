@@ -3,17 +3,17 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
-#include <deque>
 #include <exception>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "common/check.h"
+#include "common/logging.h"
 #include "obs/metrics.h"
 #include "obs/prof.h"
 #include "obs/trace.h"
@@ -30,29 +30,34 @@ std::atomic<int64_t> g_serial_runs{0};
 std::atomic<int64_t> g_chunks_executed{0};
 std::atomic<int64_t> g_pool_tasks_executed{0};
 
-// Nanoseconds each worker spends running a claimed task vs waiting on the
-// queue. Observed per task pull, so the cost (two clock reads) is paid per
-// parallel job per worker, not per chunk.
-obs::Histogram* WorkerBusyHistogram() {
-  static obs::Histogram* h =
-      obs::Registry::Global().GetHistogram("threadpool.worker_busy_ns");
-  return h;
-}
-obs::Histogram* WorkerIdleHistogram() {
-  static obs::Histogram* h =
-      obs::Registry::Global().GetHistogram("threadpool.worker_idle_ns");
-  return h;
-}
-
 int64_t MonotonicNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
 
-// Set while the current thread executes a ParallelFor chunk; nested
+// Spin-wait hint: lets a hyperthread sibling run and saves power.
+inline void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+// How long an idle worker polls the job slot before parking on the
+// condvar. Dispatches in a training step arrive a few to a few hundred
+// microseconds apart, so a worker that is still spinning joins the next
+// job within a cache-line transfer instead of a futex wake-up.
+constexpr int64_t kSpinBudgetNs = 50'000;
+// Pause iterations between clock reads while spinning, and before a
+// waiting caller starts yielding its CPU.
+constexpr int kSpinsPerClockRead = 64;
+constexpr int kCallerSpinsBeforeYield = 1024;
+
+// Set while the current thread executes ParallelFor chunks; nested
 // parallel calls observe it and run serially instead of re-entering the
-// pool (which would deadlock a worker waiting on its own queue).
+// pool (whose slot the outer call already holds).
 thread_local bool tls_in_parallel_region = false;
 
 struct ScopedRegionFlag {
@@ -60,57 +65,29 @@ struct ScopedRegionFlag {
   ~ScopedRegionFlag() { tls_in_parallel_region = false; }
 };
 
-// One ParallelFor invocation. Chunks are claimed by atomically incrementing
-// `next`; whoever finishes the last chunk wakes the waiting caller. There
-// is deliberately no early cancellation on exception: remaining chunks
-// still run so completion accounting stays trivial and the pool can never
-// deadlock; only the first exception is kept.
-struct Job {
-  std::function<void(int64_t)> chunk_fn;
-  int64_t num_chunks = 0;
-  std::atomic<int64_t> next{0};
-  std::atomic<int64_t> done{0};
-  std::mutex mu;
-  std::condition_variable cv;
-  std::exception_ptr exception;
-  // Innermost profiler scope open on the dispatching thread (nullptr when
-  // the profiler is off): helpers attribute their chunk time to it.
-  const char* prof_attr = nullptr;
-};
-
-void WorkOnJob(const std::shared_ptr<Job>& job, bool helper) {
-  // Trace-only span: the caller thread already sits inside the kernel's
-  // own profiler scope, so letting this span into the attribution tree
-  // would steal the kernel's exclusive time. Helpers instead attribute
-  // through WorkerAttributionScope (root -> "worker" -> kernel).
-  obs::ScopedSpan span("ParallelFor.worker", obs::internal::kScopeTraceBit);
-  obs::WorkerAttributionScope attribution(helper ? job->prof_attr : nullptr);
-  while (true) {
-    const int64_t c = job->next.fetch_add(1);
-    if (c >= job->num_chunks) break;
-    g_chunks_executed.fetch_add(1, std::memory_order_relaxed);
-    {
-      ScopedRegionFlag in_region;
-      try {
-        job->chunk_fn(c);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(job->mu);
-        if (!job->exception) job->exception = std::current_exception();
-      }
-    }
-    if (job->done.fetch_add(1) + 1 == job->num_chunks) {
-      // Lock pairs with the caller's predicate check so the final
-      // increment cannot slip between its check and its wait.
-      std::lock_guard<std::mutex> lock(job->mu);
-      job->cv.notify_all();
-    }
+int DefaultNumThreads() {
+  if (const char* env = std::getenv("TGCRN_NUM_THREADS")) {
+    const int parsed = ParseNumThreads(env);
+    if (parsed > 0) return parsed;
+    TGCRN_LOG(Warning) << "ignoring invalid TGCRN_NUM_THREADS='" << env
+                       << "' (want an integer in [1, " << kMaxNumThreads
+                       << "]); using hardware concurrency";
   }
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
-// Fixed-size pool. Workers pull type-erased tasks from a FIFO queue; a
-// ParallelFor enqueues one claim-loop task per helper worker, so stale
-// tasks that run after the job finished exit immediately via the atomic
-// chunk counter.
+// Fixed-size pool with one persistent job slot and no task queue.
+//
+// The slot's word `state_` packs a generation (bits 32..63), an open bit
+// (bit 31) and the number of helpers currently joined (bits 0..30). A
+// dispatching caller owns the slot through `dispatch_mu_`, writes the job
+// fields, and publishes them by storing a new generation with the open bit
+// set. Idle helpers spin on the word, then park; one joins by CAS-ing the
+// joined count up while the slot is open, claims chunks from `next_chunk_`
+// like the caller does, and leaves by decrementing the count. The caller,
+// once every chunk is claimed, clears the open bit (no later joins) and
+// waits only for the helpers that joined to leave.
 class ThreadPool {
  public:
   static ThreadPool& Global() {
@@ -120,87 +97,238 @@ class ThreadPool {
 
   ~ThreadPool() { StopWorkers(); }
 
-  int num_threads() const { return num_threads_.load(); }
+  int num_threads() const {
+    return num_threads_.load(std::memory_order_relaxed);
+  }
 
   void Resize(int total_threads) {
     if (total_threads <= 0) total_threads = DefaultNumThreads();
     std::lock_guard<std::mutex> resize_lock(resize_mu_);
-    if (total_threads == num_threads_.load()) return;
+    if (total_threads == num_threads()) return;
+    // Holding the slot keeps any other thread's dispatch out (it runs
+    // serially) while the helpers are replaced.
+    std::lock_guard<std::mutex> slot(dispatch_mu_);
     StopWorkers();
     StartWorkers(total_threads);
   }
 
-  void Enqueue(std::function<void()> task) {
-    {
-      std::lock_guard<std::mutex> lock(queue_mu_);
-      tasks_.push_back(std::move(task));
+  // Runs chunks [0, num_chunks) of fn over [begin, end) with the calling
+  // thread participating. Returns false, having run nothing, when another
+  // thread's dispatch holds the slot.
+  bool TryRun(const FunctionRef<void(int64_t, int64_t)>& fn, int64_t begin,
+              int64_t end, int64_t chunk, int64_t num_chunks) {
+    std::unique_lock<std::mutex> slot(dispatch_mu_, std::try_to_lock);
+    if (!slot.owns_lock()) return false;
+    fn_ = &fn;
+    begin_ = begin;
+    end_ = end;
+    chunk_ = chunk;
+    num_chunks_ = num_chunks;
+    prof_attr_ = obs::CurrentProfLeafName();
+    next_chunk_.store(0, std::memory_order_relaxed);
+    // No helper is joined between dispatches, so the count bits are 0.
+    const uint64_t generation =
+        (state_.load(std::memory_order_relaxed) & kGenerationMask) +
+        kGenerationUnit;
+    // seq_cst store, then seq_cst load of the sleeper count; a parking
+    // helper does the mirror image (increment, then re-check the word),
+    // so at least one side sees the other and no wake-up is lost.
+    state_.store(generation | kOpenBit, std::memory_order_seq_cst);
+    if (sleepers_.load(std::memory_order_seq_cst) > 0) {
+      { std::lock_guard<std::mutex> lock(park_mu_); }
+      park_cv_.notify_all();
     }
-    queue_cv_.notify_one();
+
+    RunChunks(/*helper=*/false);
+
+    // Every chunk is claimed: close the slot, then wait for the helpers
+    // that joined to finish the chunks they claimed. A helper still
+    // parked or spinning is never waited for.
+    uint64_t state =
+        state_.fetch_and(~kOpenBit, std::memory_order_acq_rel) & ~kOpenBit;
+    for (int spins = 0; (state & kJoinedMask) != 0; ++spins) {
+      if (spins < kCallerSpinsBeforeYield) {
+        CpuRelax();
+      } else {
+        std::this_thread::yield();
+      }
+      state = state_.load(std::memory_order_acquire);
+    }
+    if (exception_) std::rethrow_exception(std::exchange(exception_, nullptr));
+    return true;
   }
 
  private:
-  explicit ThreadPool(int total_threads) { StartWorkers(total_threads); }
+  static constexpr uint64_t kJoinedMask = (uint64_t{1} << 31) - 1;
+  static constexpr uint64_t kOpenBit = uint64_t{1} << 31;
+  static constexpr uint64_t kGenerationUnit = uint64_t{1} << 32;
+  static constexpr uint64_t kGenerationMask = ~(kOpenBit | kJoinedMask);
 
-  static int DefaultNumThreads() {
-    if (const char* env = std::getenv("TGCRN_NUM_THREADS")) {
-      const int parsed = std::atoi(env);
-      if (parsed > 0) return parsed;
-    }
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw > 0 ? static_cast<int>(hw) : 1;
+  explicit ThreadPool(int total_threads)
+      : busy_ns_(obs::Registry::Global().GetHistogram(
+            "threadpool.worker_busy_ns")),
+        idle_ns_(obs::Registry::Global().GetHistogram(
+            "threadpool.worker_idle_ns")) {
+    StartWorkers(total_threads);
   }
 
   void StartWorkers(int total_threads) {
     TGCRN_CHECK_GE(total_threads, 1);
-    stop_ = false;
+    stop_.store(false);
     num_threads_.store(total_threads);
+    // Spinning only pays when every pool thread has a CPU of its own;
+    // oversubscribed, a spinner would steal the time of the thread it
+    // waits for.
+    const unsigned hw = std::thread::hardware_concurrency();
+    spin_budget_ns_ = hw == 0 || static_cast<unsigned>(total_threads) <= hw
+                          ? kSpinBudgetNs
+                          : 0;
+    // No job is open here (the constructor, or Resize holding the slot),
+    // so the current generation is one the new helpers must skip.
+    const uint64_t seen =
+        state_.load(std::memory_order_relaxed) & kGenerationMask;
     for (int i = 0; i < total_threads - 1; ++i) {
-      workers_.emplace_back([this] { WorkerLoop(); });
+      workers_.emplace_back([this, seen] { WorkerLoop(seen); });
     }
   }
 
   void StopWorkers() {
     {
-      std::lock_guard<std::mutex> lock(queue_mu_);
-      stop_ = true;
+      std::lock_guard<std::mutex> lock(park_mu_);
+      stop_.store(true);
     }
-    queue_cv_.notify_all();
+    park_cv_.notify_all();
     for (auto& w : workers_) w.join();
     workers_.clear();
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    tasks_.clear();
   }
 
-  void WorkerLoop() {
-    int64_t idle_since_ns = MonotonicNs();
+  // The claim loop shared by the caller and joined helpers.
+  void RunChunks(bool helper) {
+    // Trace-only span: the caller thread already sits inside the kernel's
+    // own profiler scope, so letting this span into the attribution tree
+    // would steal the kernel's exclusive time. Helpers instead attribute
+    // through WorkerAttributionScope (root -> "worker" -> kernel).
+    obs::ScopedSpan span("ParallelFor.worker", obs::internal::kScopeTraceBit);
+    obs::WorkerAttributionScope attribution(helper ? prof_attr_ : nullptr);
+    ScopedRegionFlag in_region;
+    int64_t executed = 0;
     while (true) {
-      std::function<void()> task;
-      {
-        std::unique_lock<std::mutex> lock(queue_mu_);
-        queue_cv_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
-        if (stop_) return;
-        task = std::move(tasks_.front());
-        tasks_.pop_front();
+      const int64_t c = next_chunk_.fetch_add(1, std::memory_order_relaxed);
+      if (c >= num_chunks_) break;
+      ++executed;
+      const int64_t s = begin_ + c * chunk_;
+      // No early cancellation on exception: the remaining chunks still
+      // run so completion accounting stays trivial; the first exception
+      // is kept and rethrown by the caller.
+      try {
+        (*fn_)(s, std::min(end_, s + chunk_));
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(exception_mu_);
+        if (!exception_) exception_ = std::current_exception();
       }
+    }
+    g_chunks_executed.fetch_add(executed, std::memory_order_relaxed);
+  }
+
+  // Waits until a generation newer than `seen` is open; false on stop.
+  bool WaitForJob(uint64_t seen, uint64_t* state) {
+    const auto ready = [seen](uint64_t s) {
+      return (s & kOpenBit) != 0 && (s & kGenerationMask) != seen;
+    };
+    int64_t deadline_ns = 0;
+    for (int spins = 1;; ++spins) {
+      if (stop_.load(std::memory_order_relaxed)) return false;
+      *state = state_.load(std::memory_order_acquire);
+      if (ready(*state)) return true;
+      CpuRelax();
+      if (spins % kSpinsPerClockRead == 0) {
+        const int64_t now = MonotonicNs();
+        if (deadline_ns == 0) deadline_ns = now + spin_budget_ns_;
+        if (now >= deadline_ns) break;
+      }
+    }
+    sleepers_.fetch_add(1, std::memory_order_seq_cst);
+    {
+      std::unique_lock<std::mutex> lock(park_mu_);
+      park_cv_.wait(lock, [&] {
+        *state = state_.load(std::memory_order_seq_cst);
+        return stop_.load() || ready(*state);
+      });
+    }
+    sleepers_.fetch_sub(1, std::memory_order_relaxed);
+    return !stop_.load();
+  }
+
+  void WorkerLoop(uint64_t seen) {
+    int64_t idle_since_ns = MonotonicNs();
+    uint64_t state = 0;
+    while (WaitForJob(seen, &state)) {
+      seen = state & kGenerationMask;
+      bool joined = false;
+      while ((state & kOpenBit) != 0 && (state & kGenerationMask) == seen) {
+        if (state_.compare_exchange_weak(state, state + 1,
+                                         std::memory_order_acq_rel,
+                                         std::memory_order_acquire)) {
+          joined = true;
+          break;
+        }
+      }
+      if (!joined) continue;  // the caller closed the job first
       const int64_t start_ns = MonotonicNs();
-      WorkerIdleHistogram()->Observe(start_ns - idle_since_ns);
-      task();
-      idle_since_ns = MonotonicNs();
-      WorkerBusyHistogram()->Observe(idle_since_ns - start_ns);
+      RunChunks(/*helper=*/true);
+      state_.fetch_sub(1, std::memory_order_release);
       g_pool_tasks_executed.fetch_add(1, std::memory_order_relaxed);
+      idle_ns_->Observe(start_ns - idle_since_ns);
+      idle_since_ns = MonotonicNs();
+      busy_ns_->Observe(idle_since_ns - start_ns);
     }
   }
 
+  // Nanoseconds each helper spends inside a joined job vs between jobs,
+  // observed per join (two clock reads per dispatch per joining helper).
+  // Looked up once here so that no join touches the registry.
+  obs::Histogram* const busy_ns_;
+  obs::Histogram* const idle_ns_;
   std::mutex resize_mu_;
   std::atomic<int> num_threads_{1};
   std::vector<std::thread> workers_;
-  std::mutex queue_mu_;
-  std::condition_variable queue_cv_;
-  std::deque<std::function<void()>> tasks_;
-  bool stop_ = false;
+  std::atomic<bool> stop_{false};
+  int64_t spin_budget_ns_ = kSpinBudgetNs;
+
+  // The job slot. Written by the thread holding dispatch_mu_ before it
+  // publishes a generation; read by helpers only while joined.
+  std::mutex dispatch_mu_;
+  const FunctionRef<void(int64_t, int64_t)>* fn_ = nullptr;
+  int64_t begin_ = 0;
+  int64_t end_ = 0;
+  int64_t chunk_ = 1;
+  int64_t num_chunks_ = 0;
+  // Innermost profiler scope open on the dispatching thread (nullptr when
+  // the profiler is off): helpers attribute their chunk time to it.
+  const char* prof_attr_ = nullptr;
+  std::mutex exception_mu_;
+  std::exception_ptr exception_;
+
+  // Hot words on their own cache lines: helpers poll `state_` while the
+  // caller and joined helpers hammer `next_chunk_`.
+  alignas(64) std::atomic<uint64_t> state_{0};
+  alignas(64) std::atomic<int64_t> next_chunk_{0};
+  alignas(64) std::atomic<int> sleepers_{0};
+  std::mutex park_mu_;
+  std::condition_variable park_cv_;
 };
 
 }  // namespace
+
+int ParseNumThreads(const char* value) {
+  if (value == nullptr || *value == '\0') return 0;
+  errno = 0;
+  char* end = nullptr;
+  const long parsed = std::strtol(value, &end, 10);
+  if (errno != 0 || end == value || *end != '\0') return 0;
+  if (parsed < 1 || parsed > kMaxNumThreads) return 0;
+  return static_cast<int>(parsed);
+}
 
 int GetNumThreads() { return ThreadPool::Global().num_threads(); }
 
@@ -221,61 +349,47 @@ PoolStats GetPoolStats() {
 }
 
 void ParallelFor(int64_t begin, int64_t end, int64_t grain,
-                 const std::function<void(int64_t, int64_t)>& fn) {
+                 FunctionRef<void(int64_t, int64_t)> fn) {
   const int64_t n = end - begin;
   if (n <= 0) return;
   if (grain < 1) grain = 1;
   g_parallel_for_calls.fetch_add(1, std::memory_order_relaxed);
   ThreadPool& pool = ThreadPool::Global();
   const int threads = pool.num_threads();
-  if (threads <= 1 || n <= grain || tls_in_parallel_region) {
-    g_serial_runs.fetch_add(1, std::memory_order_relaxed);
-    fn(begin, end);
-    return;
+  if (threads > 1 && n > grain && !tls_in_parallel_region) {
+    // At least `grain` per chunk, and ~4 chunks per thread so stragglers
+    // balance out without work stealing. Chunk boundaries only affect
+    // which thread computes which outputs, never the outputs themselves.
+    const int64_t target_chunks = static_cast<int64_t>(threads) * 4;
+    const int64_t chunk =
+        std::max(grain, (n + target_chunks - 1) / target_chunks);
+    const int64_t num_chunks = (n + chunk - 1) / chunk;
+    if (num_chunks > 1 && pool.TryRun(fn, begin, end, chunk, num_chunks)) {
+      return;
+    }
   }
-  // At least `grain` per chunk, and ~4 chunks per thread so stragglers
-  // balance out without work stealing. Chunk boundaries only affect which
-  // thread computes which outputs, never the outputs themselves.
-  const int64_t target_chunks = static_cast<int64_t>(threads) * 4;
-  const int64_t chunk =
-      std::max(grain, (n + target_chunks - 1) / target_chunks);
-  const int64_t num_chunks = (n + chunk - 1) / chunk;
-  if (num_chunks <= 1) {
-    g_serial_runs.fetch_add(1, std::memory_order_relaxed);
-    fn(begin, end);
-    return;
-  }
-
-  auto job = std::make_shared<Job>();
-  job->num_chunks = num_chunks;
-  job->chunk_fn = [&fn, begin, end, chunk](int64_t c) {
-    const int64_t s = begin + c * chunk;
-    fn(s, std::min(end, s + chunk));
-  };
-  job->prof_attr = obs::CurrentProfLeafName();
-  const int64_t helpers =
-      std::min<int64_t>(threads - 1, num_chunks - 1);
-  for (int64_t i = 0; i < helpers; ++i) {
-    pool.Enqueue([job] { WorkOnJob(job, /*helper=*/true); });
-  }
-  WorkOnJob(job, /*helper=*/false);  // the caller participates
-  {
-    std::unique_lock<std::mutex> lock(job->mu);
-    job->cv.wait(lock,
-                 [&job] { return job->done.load() == job->num_chunks; });
-  }
-  if (job->exception) std::rethrow_exception(job->exception);
+  g_serial_runs.fetch_add(1, std::memory_order_relaxed);
+  fn(begin, end);
 }
 
-double DeterministicChunkedSum(
-    int64_t n, int64_t grain,
-    const std::function<double(int64_t, int64_t)>& chunk_sum) {
+double DeterministicChunkedSum(int64_t n, int64_t grain,
+                               FunctionRef<double(int64_t, int64_t)> chunk_sum) {
   if (n <= 0) return 0.0;
   if (grain < 1) grain = 1;
   const int64_t num_chunks = (n + grain - 1) / grain;
   if (num_chunks == 1) return chunk_sum(0, n);
-  std::vector<double> partials(num_chunks);
-  ParallelFor(0, num_chunks, 1, [&](int64_t cb, int64_t ce) {
+  double stack_partials[kReductionStackChunks];
+  std::vector<double> heap_partials;
+  double* partials = stack_partials;
+  if (num_chunks > kReductionStackChunks) {
+    heap_partials.resize(num_chunks);
+    partials = heap_partials.data();
+  }
+  // The cutoff counts chunks, not elements: callers size a chunk by its
+  // cost, from 1024 floats (the gradient norm) to eight simulated time
+  // steps over every kept station pair (datagen/metro_sim.cc).
+  ParallelFor(0, num_chunks, kReductionSerialChunks,
+              [&](int64_t cb, int64_t ce) {
     for (int64_t c = cb; c < ce; ++c) {
       partials[c] = chunk_sum(c * grain, std::min(n, (c + 1) * grain));
     }

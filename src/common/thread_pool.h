@@ -15,7 +15,8 @@
 //    partials are combined by a fixed pairwise tree. The same bits come
 //    out at 1, 2 or 64 threads.
 //
-// Thread count: defaults to TGCRN_NUM_THREADS if set, else
+// Thread count: defaults to TGCRN_NUM_THREADS if set to an integer in
+// [1, kMaxNumThreads] (any other value is ignored with a warning), else
 // std::thread::hardware_concurrency(). SetNumThreads(1) gives exact legacy
 // single-threaded execution (no pool threads touch any data). Nested
 // ParallelFor calls (a parallel region entered from inside a chunk) degrade
@@ -24,7 +25,9 @@
 #define TGCRN_COMMON_THREAD_POOL_H_
 
 #include <cstdint>
-#include <functional>
+#include <memory>
+#include <type_traits>
+#include <utility>
 
 namespace tgcrn {
 namespace common {
@@ -33,9 +36,18 @@ namespace common {
 // calling thread. Always >= 1.
 int GetNumThreads();
 
+// Largest pool width TGCRN_NUM_THREADS may request.
+inline constexpr int kMaxNumThreads = 1024;
+
+// Parses a TGCRN_NUM_THREADS value: the whole string must be a decimal
+// integer in [1, kMaxNumThreads]. Returns 0 for anything else (empty,
+// trailing characters, out of range).
+int ParseNumThreads(const char* value);
+
 // Sets the parallel width. n <= 0 restores the default (TGCRN_NUM_THREADS
-// env var if set, else hardware concurrency). Not safe to call concurrently
-// with an active parallel region.
+// env var if valid, else hardware concurrency). Waits for a dispatch in
+// flight on another thread to finish; must not be called from inside a
+// parallel region.
 void SetNumThreads(int n);
 
 // RAII guard for tests: sets the thread count and restores the previous
@@ -53,22 +65,61 @@ class ScopedNumThreads {
   int previous_;
 };
 
+// Non-owning reference to a callable, the type-erased argument of the two
+// primitives below. Both run their callable to completion before
+// returning, so referencing the caller's lambda is safe, and unlike
+// std::function it never heap-allocates a capture.
+template <typename Signature>
+class FunctionRef;
+
+template <typename R, typename... Args>
+class FunctionRef<R(Args...)> {
+ public:
+  template <typename F,
+            typename = std::enable_if_t<
+                !std::is_same_v<std::decay_t<F>, FunctionRef> &&
+                std::is_invocable_r_v<R, F&, Args...>>>
+  FunctionRef(F&& f)  // NOLINT(google-explicit-constructor)
+      : object_(const_cast<void*>(
+            static_cast<const void*>(std::addressof(f)))),
+        invoke_(&Invoke<std::remove_reference_t<F>>) {}
+
+  R operator()(Args... args) const {
+    return invoke_(object_, std::forward<Args>(args)...);
+  }
+
+ private:
+  template <typename F>
+  static R Invoke(void* object, Args... args) {
+    return (*static_cast<F*>(object))(std::forward<Args>(args)...);
+  }
+
+  void* object_;
+  R (*invoke_)(void*, Args...);
+};
+
 // Runs fn over disjoint contiguous subranges covering [begin, end). `grain`
-// is the minimum subrange length (>= 1); ranges shorter than `grain`, a
-// thread count of 1, and calls from inside a parallel region all run
-// fn(begin, end) serially on the calling thread. The first exception thrown
-// by any chunk is rethrown on the calling thread after all chunks finish.
+// is the minimum subrange length (>= 1) and doubles as the serial cutoff:
+// ranges no longer than `grain`, a thread count of 1, calls from inside a
+// parallel region, and calls made while another thread's dispatch occupies
+// the pool all run fn(begin, end) serially on the calling thread. The first
+// exception thrown by any chunk is rethrown on the calling thread after all
+// chunks finish. A dispatch makes no heap allocation.
 void ParallelFor(int64_t begin, int64_t end, int64_t grain,
-                 const std::function<void(int64_t, int64_t)>& fn);
+                 FunctionRef<void(int64_t, int64_t)> fn);
 
 // Deterministic parallel reduction over [0, n): chunk_sum(c_begin, c_end)
 // returns the partial for one fixed chunk of at most `grain` elements;
 // partials are combined by a fixed pairwise tree. The chunking and the
 // combine order depend only on n and grain, so the result is bitwise
-// identical regardless of the thread count (including 1).
-double DeterministicChunkedSum(
-    int64_t n, int64_t grain,
-    const std::function<double(int64_t, int64_t)>& chunk_sum);
+// identical regardless of the thread count (including 1). Only the
+// scheduling depends on the size: up to kReductionSerialChunks chunks are
+// summed inline on the calling thread, and the partials live on the stack
+// up to kReductionStackChunks chunks and on the heap above that.
+double DeterministicChunkedSum(int64_t n, int64_t grain,
+                               FunctionRef<double(int64_t, int64_t)> chunk_sum);
+inline constexpr int64_t kReductionSerialChunks = 2;
+inline constexpr int64_t kReductionStackChunks = 256;
 
 // True while the calling thread is executing inside a ParallelFor chunk
 // (used by kernels that must pick the serial path when nested).
@@ -86,8 +137,9 @@ struct PoolStats {
   // Chunks claimed and executed across all parallel jobs. The pool has no
   // work stealing, so this is also the steal-free claim count.
   int64_t chunks_executed = 0;
-  // Type-erased tasks pool workers pulled from the queue (one claim loop
-  // per helper per parallel job, plus stale wakeups).
+  // Helper joins: times a pool worker entered a dispatched job's claim
+  // loop (at most width - 1 per dispatch; a helper that arrives after the
+  // caller closed the job does not join). There is no task queue.
   int64_t pool_tasks_executed = 0;
 };
 PoolStats GetPoolStats();

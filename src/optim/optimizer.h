@@ -18,9 +18,17 @@
 namespace tgcrn {
 namespace optim {
 
-// Elements per chunk for the parallel parameter-update loops; parameter
-// tensors are independent rows of work, so chunking never changes results.
-inline constexpr int64_t kOptimizerGrain = 1024;
+// Fixed chunk length of GradSquaredSum's DeterministicChunkedSum. Part of
+// the numeric contract, like tensor.cc's kReductionChunk: changing it
+// changes the gradient-norm bits (and so every clipped step) on parameters
+// larger than one chunk, though never their cross-thread-count
+// determinism.
+inline constexpr int64_t kGradNormChunk = 1024;
+
+// Serial cutoff and minimum chunk of Adam's parallel update loop. Each
+// element updates independently, so this only moves chunk boundaries and
+// never changes results; calibrated at pool width 2 (DESIGN.md section 7).
+inline constexpr int64_t kAdamGrain = 4096;
 
 // Deterministic squared sum of one buffer (the per-parameter piece of the
 // global gradient norm). This is the trainer's gradient-stats capture
@@ -29,7 +37,7 @@ inline constexpr int64_t kOptimizerGrain = 1024;
 // health monitor's non-finite sentinel, all from a single reduction.
 inline double GradSquaredSum(const float* data, int64_t n) {
   return common::DeterministicChunkedSum(
-      n, kOptimizerGrain, [data](int64_t begin, int64_t end) {
+      n, kGradNormChunk, [data](int64_t begin, int64_t end) {
         double sq = 0.0;
         for (int64_t i = begin; i < end; ++i) {
           sq += static_cast<double>(data[i]) * data[i];
@@ -160,7 +168,7 @@ class Adam : public Optimizer {
       float* w = p.mutable_value().mutable_data();
       const float beta1 = beta1_, beta2 = beta2_, eps = eps_, lr = lr_;
       const float wd = weight_decay_;
-      common::ParallelFor(0, n, kOptimizerGrain, [&](int64_t s, int64_t e) {
+      common::ParallelFor(0, n, kAdamGrain, [&](int64_t s, int64_t e) {
         for (int64_t j = s; j < e; ++j) {
           const float gj = wd > 0.0f ? gp[j] + w[j] * wd : gp[j];
           mp[j] = beta1 * mp[j] + (1.0f - beta1) * gj;

@@ -63,12 +63,24 @@ Tensor MapVmath(const Tensor& t,
   return out;
 }
 
-// Minimum multiply-accumulate operations per matmul chunk.
-constexpr int64_t kMatmulGrainFlops = 4096;
+// Minimum multiply-accumulate operations per matmul chunk, and so the
+// matmul's serial cutoff; calibrated at pool width 2 (DESIGN.md section 7).
+constexpr int64_t kMatmulGrainFlops = 65536;
+// Minimum input elements per chunk of the row ops, which parallelize over
+// whole rows: axis reductions and the softmax gradient, and the softmax,
+// whose exp makes each element several times dearer.
+constexpr int64_t kRowOpGrainElems = 16384;
+constexpr int64_t kSoftmaxGrainElems = 1024;
 // Fixed chunk length of DeterministicChunkedSum reductions. Part of the
 // numeric contract: changing it changes the bits of SumAll on tensors
 // larger than one chunk (but never the cross-thread-count determinism).
+// optim::kGradNormChunk is the same contract for the gradient norm.
 constexpr int64_t kReductionChunk = 2048;
+
+// Rows per chunk for a row op over rows of `span` elements.
+int64_t RowOpGrain(int64_t span, int64_t grain_elems = kRowOpGrainElems) {
+  return std::max<int64_t>(1, grain_elems / std::max<int64_t>(1, span));
+}
 
 // Row-major strides for a shape.
 std::vector<int64_t> StridesFor(const Shape& shape) {
@@ -966,8 +978,7 @@ Tensor ReduceAxis(const Tensor& t, int64_t axis, bool keepdim, float init,
   float* o = out.mutable_data();
   // Parallel over output elements; each one runs the exact serial
   // accumulation over its span, so chunking never changes the result.
-  const int64_t grain =
-      std::max<int64_t>(1, kElemwiseGrain / std::max<int64_t>(1, span));
+  const int64_t grain = RowOpGrain(span);
   common::ParallelFor(
       0, outer * inner, grain, [&](int64_t begin, int64_t end) {
         for (int64_t oi = begin; oi < end; ++oi) {
@@ -1045,8 +1056,7 @@ Tensor Tensor::Softmax(int64_t axis) const {
     Tensor out(shape_);
     const float* p = data();
     float* o = out.mutable_data();
-    const int64_t grain =
-        std::max<int64_t>(1, kElemwiseGrain / std::max<int64_t>(1, span));
+    const int64_t grain = RowOpGrain(span, kSoftmaxGrainElems);
     common::ParallelFor(0, rows, grain, [&](int64_t begin, int64_t end) {
       for (int64_t r = begin; r < end; ++r) {
         const float* src = p + r * span;
@@ -1145,8 +1155,7 @@ Tensor SoftmaxGradKernel(const Tensor& y, const Tensor& g) {
   const float* py = y.data();
   const float* pg = g.data();
   float* o = out.mutable_data();
-  const int64_t grain =
-      std::max<int64_t>(1, kElemwiseGrain / std::max<int64_t>(1, span));
+  const int64_t grain = RowOpGrain(span);
   // One pass per contiguous row; the row sum keeps the serial accumulation
   // order, so chunking across rows never changes any output bit.
   common::ParallelFor(0, rows, grain, [&](int64_t begin, int64_t end) {

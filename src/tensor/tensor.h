@@ -42,10 +42,11 @@ namespace tgcrn {
 
 using Shape = std::vector<int64_t>;
 
-// Minimum elements per ParallelFor chunk for elementwise kernels; below
-// this the dispatch overhead outweighs the work. Grain only affects chunk
-// boundaries, never results.
-inline constexpr int64_t kElemwiseGrain = 1024;
+// Minimum elements per ParallelFor chunk for elementwise kernels; ops of
+// at most this many elements run inline, where the dispatch would cost
+// more than the second thread saves (calibrated at pool width 2, DESIGN.md
+// section 7). Grain only affects chunk boundaries, never results.
+inline constexpr int64_t kElemwiseGrain = 32768;
 
 // Returns a human-readable form like "[2, 3, 4]".
 std::string ShapeToString(const Shape& shape);
