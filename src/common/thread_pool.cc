@@ -102,6 +102,10 @@ class ThreadPool {
   }
 
   void Resize(int total_threads) {
+    // From inside a chunk this thread may hold the slot it is about to wait
+    // for.
+    TGCRN_CHECK(!tls_in_parallel_region)
+        << "SetNumThreads called from inside a parallel region";
     if (total_threads <= 0) total_threads = DefaultNumThreads();
     std::lock_guard<std::mutex> resize_lock(resize_mu_);
     if (total_threads == num_threads()) return;
@@ -291,7 +295,6 @@ class ThreadPool {
   obs::Histogram* const idle_ns_;
   std::mutex resize_mu_;
   std::atomic<int> num_threads_{1};
-  std::vector<std::thread> workers_;
   std::atomic<bool> stop_{false};
   int64_t spin_budget_ns_ = kSpinBudgetNs;
 
@@ -316,6 +319,9 @@ class ThreadPool {
   alignas(64) std::atomic<int> sleepers_{0};
   std::mutex park_mu_;
   std::condition_variable park_cv_;
+
+  // Last, so the helpers are declared after everything they touch.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace

@@ -3,6 +3,9 @@
 #include "tensor/tensor.h"
 
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -10,6 +13,7 @@
 
 #include "common/cpu_features.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 
 namespace tgcrn {
 namespace {
@@ -434,6 +438,55 @@ TEST(TensorTest, MapTMatchesMap) {
   Tensor a = x.MapT([](float v) { return v * v + 1.0f; });
   Tensor b = x.Map([](float v) { return v * v + 1.0f; });
   EXPECT_EQ(Tensor::MaxAbsDiff(a, b), 0.0f);
+}
+
+// The calibrated grains keep small ops inline, so these shapes sit above
+// each kernel's serial cutoff: every kernel must take the pooled path and
+// still give the same bits at 2 and 4 threads as at 1.
+TEST(TensorParallelTest, KernelsAboveTheSerialCutoffsMatchSerialBits) {
+  Rng rng(11);
+  const int64_t cols = kElemwiseGrain / 3 + 111;  // not a chunk multiple
+  const Tensor a = Tensor::RandUniform({3, cols}, -2, 2, &rng);
+  const Tensor b = Tensor::RandUniform({3, cols}, -2, 2, &rng);
+  const Tensor col = Tensor::RandUniform({3, 1}, -2, 2, &rng);
+  const Tensor rows = Tensor::RandUniform({2000, 20}, -2, 2, &rng);
+  const Tensor rows_grad = Tensor::RandUniform({2000, 20}, -1, 1, &rng);
+  const Tensor m1_a = Tensor::RandUniform({256, 1, 32}, -1, 1, &rng);
+  const Tensor m1_b = Tensor::RandUniform({256, 32, 32}, -1, 1, &rng);
+  const Tensor rows_a = Tensor::RandUniform({64, 20, 20}, -1, 1, &rng);
+  const Tensor rows_b = Tensor::RandUniform({64, 20, 32}, -1, 1, &rng);
+  const std::vector<std::pair<std::string, std::function<Tensor()>>> cases = {
+      {"add", [&] { return a.Add(b); }},
+      {"broadcast_mul", [&] { return a.Mul(col); }},
+      {"tanh", [&] { return a.Tanh(); }},
+      {"sigmoid", [&] { return a.Sigmoid(); }},
+      {"softmax_rows", [&] { return rows.Softmax(-1); }},
+      {"sum_axis", [&] { return rows.Sum(-1); }},
+      {"softmax_grad",
+       [&] { return SoftmaxGradKernel(rows.Softmax(-1), rows_grad); }},
+      {"matmul_m1", [&] { return m1_a.Matmul(m1_b); }},
+      {"matmul_rows", [&] { return rows_a.Matmul(rows_b); }},
+      {"sum_all", [&] { return Tensor::Scalar(a.SumAll()); }},
+  };
+  for (const auto& [name, make] : cases) {
+    Tensor want;
+    {
+      common::ScopedNumThreads guard(1);
+      want = make();
+    }
+    for (const int threads : {2, 4}) {
+      common::ScopedNumThreads guard(threads);
+      const int64_t chunks_before = common::GetPoolStats().chunks_executed;
+      const Tensor got = make();
+      EXPECT_GT(common::GetPoolStats().chunks_executed, chunks_before)
+          << name << " ran serially at " << threads << " threads";
+      ASSERT_EQ(got.shape(), want.shape()) << name;
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            static_cast<size_t>(got.numel()) * sizeof(float)),
+                0)
+          << name << " at " << threads << " threads";
+    }
+  }
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/logging.h"
 #include "common/rng.h"
 
 // Counts every global operator new in this binary, so the dispatch test
@@ -517,6 +518,8 @@ TEST(ThreadPoolTest, InvalidNumThreadsEnvIsIgnoredWithWarning) {
   const std::string saved_value = saved ? saved : "";
   const unsigned hw = std::thread::hardware_concurrency();
   const int hw_width = hw > 0 ? static_cast<int>(hw) : 1;
+  const LogLevel saved_level = GetMinLogLevel();
+  SetMinLogLevel(LogLevel::kWarning);
   for (const char* bad : {"4x", "abc", "0"}) {
     ASSERT_EQ(setenv("TGCRN_NUM_THREADS", bad, /*overwrite=*/1), 0);
     SetNumThreads(hw_width == 1 ? 2 : 1);  // force Resize to re-read
@@ -536,6 +539,7 @@ TEST(ThreadPoolTest, InvalidNumThreadsEnvIsIgnoredWithWarning) {
   } else {
     unsetenv("TGCRN_NUM_THREADS");
   }
+  SetMinLogLevel(saved_level);
   SetNumThreads(original);
 }
 
