@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "common/cpu_features.h"
 #include "gradcheck.h"
 #include "obs/metrics.h"
@@ -103,6 +105,11 @@ struct UnaryCase {
   float lo;
   float hi;
 };
+
+// Without this, gtest prints the case as raw bytes, pointers included, and
+// that text becomes part of the ctest name, which then changes with every
+// build and every address-space layout.
+void PrintTo(const UnaryCase& c, std::ostream* os) { *os << c.name; }
 
 class UnaryGradTest : public ::testing::TestWithParam<UnaryCase> {};
 
