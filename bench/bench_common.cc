@@ -2,8 +2,6 @@
 #include "bench_common.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <ctime>
 #include <filesystem>
 #include <fstream>
@@ -11,6 +9,7 @@
 
 #include "baselines/agcrn.h"
 #include "common/cpu_features.h"
+#include "common/env.h"
 #include "baselines/ccrnn.h"
 #include "baselines/dcrnn.h"
 #include "baselines/esg.h"
@@ -25,8 +24,9 @@ namespace bench {
 
 Scale GetScale() {
   Scale scale;
-  const char* env = std::getenv("TGCRN_BENCH_SCALE");
-  if (env != nullptr && std::strcmp(env, "quick") == 0) {
+  const int level =
+      common::EnvChoice("TGCRN_BENCH_SCALE", {"default", "quick", "full"}, 0);
+  if (level == 1) {
     scale.name = "quick";
     scale.hz_nodes = 10;
     scale.sh_nodes = 12;
@@ -41,7 +41,7 @@ Scale GetScale() {
     scale.hidden_dim = 12;
     scale.node_embed_dim = 8;
     scale.time_embed_dim = 6;
-  } else if (env != nullptr && std::strcmp(env, "full") == 0) {
+  } else if (level == 2) {
     scale.name = "full";
     scale.epochs = 40;
     scale.max_batches_per_epoch = 0;
@@ -336,10 +336,9 @@ core::TrainResult RunNeural(core::ForecastModel* model,
   config.verbose = false;
   // TGCRN_BENCH_REPORT_DIR=<dir> streams one JSONL run report per trained
   // model into <dir>/<model>-<dataset>.jsonl (appending across runs).
-  const char* report_dir = std::getenv("TGCRN_BENCH_REPORT_DIR");
-  if (report_dir != nullptr && report_dir[0] != '\0') {
-    config.report_path = std::string(report_dir) + "/" + model->name() + "-" +
-                         bundle.name + ".jsonl";
+  if (const auto report_dir = common::EnvString("TGCRN_BENCH_REPORT_DIR")) {
+    config.report_path =
+        *report_dir + "/" + model->name() + "-" + bundle.name + ".jsonl";
   }
   return core::TrainAndEvaluate(model, *bundle.dataset, config);
 }

@@ -1,10 +1,8 @@
 // Copyright 2026 TGCRN Reproduction Authors
 #include "autograd/variable.h"
 
-#include <cstdlib>
-#include <cstring>
-
 #include "common/arena.h"
+#include "common/env.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -115,8 +113,7 @@ NoGradGuard::~NoGradGuard() { g_grad_enabled = previous_; }
 bool AutogradArenaEnabled() {
   int state = g_arena_enabled.load(std::memory_order_relaxed);
   if (state < 0) {
-    const char* env = std::getenv("TGCRN_AUTOGRAD_ARENA");
-    state = (env == nullptr || std::strcmp(env, "0") != 0) ? 1 : 0;
+    state = common::EnvBool("TGCRN_AUTOGRAD_ARENA", true) ? 1 : 0;
     g_arena_enabled.store(state, std::memory_order_relaxed);
   }
   return state != 0;

@@ -2,10 +2,9 @@
 #include "common/cpu_features.h"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/check.h"
+#include "common/env.h"
 
 namespace tgcrn {
 namespace common {
@@ -17,13 +16,14 @@ namespace {
 std::atomic<int> g_active_isa{-1};
 
 SimdIsa ResolveFromEnv() {
-  const char* env = std::getenv("TGCRN_ISA");
-  if (env == nullptr || *env == '\0' || std::strcmp(env, "auto") == 0) {
+  // Fail-closed, unlike other knobs: a wrong ISA breaks the seed-bit contract.
+  const std::optional<std::string> env = EnvString("TGCRN_ISA");
+  if (!env || *env == "auto") {
     return (Avx2CompiledIn() && CpuSupportsAvx2()) ? SimdIsa::kAvx2
                                                    : SimdIsa::kScalar;
   }
-  if (std::strcmp(env, "scalar") == 0) return SimdIsa::kScalar;
-  if (std::strcmp(env, "avx2") == 0) {
+  if (*env == "scalar") return SimdIsa::kScalar;
+  if (*env == "avx2") {
     TGCRN_CHECK(Avx2CompiledIn())
         << "TGCRN_ISA=avx2 but the AVX2 kernels were compiled out "
            "(TGCRN_DISABLE_AVX2 or non-x86 build)";
@@ -31,7 +31,7 @@ SimdIsa ResolveFromEnv() {
         << "TGCRN_ISA=avx2 but this CPU does not report AVX2+FMA";
     return SimdIsa::kAvx2;
   }
-  TGCRN_CHECK(false) << "unknown TGCRN_ISA value '" << env
+  TGCRN_CHECK(false) << "unknown TGCRN_ISA value '" << *env
                      << "' (want scalar|avx2|auto)";
   return SimdIsa::kScalar;  // unreachable
 }

@@ -1,8 +1,8 @@
 // Copyright 2026 TGCRN Reproduction Authors
 // Minimal leveled logging to stderr. Training loops use LOG(INFO) for epoch
-// summaries; set TGCRN_LOG_LEVEL=WARNING (or ERROR) to silence them, or call
-// SetMinLogLevel() to change the threshold at runtime (the env var only
-// provides the initial value).
+// summaries; set TGCRN_LOG_LEVEL=warning (or error, in any case) to silence
+// them, or call SetMinLogLevel() to change the threshold at runtime (the env
+// var only provides the initial value; an unknown one keeps info).
 #ifndef TGCRN_COMMON_LOGGING_H_
 #define TGCRN_COMMON_LOGGING_H_
 
@@ -18,20 +18,18 @@
 #include <string>
 #include <utility>
 
+#include "common/env.h"
+
 namespace tgcrn {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
 
 namespace internal {
 
-inline LogLevel LogLevelFromEnv() {
-  const char* env = std::getenv("TGCRN_LOG_LEVEL");
-  if (env == nullptr) return LogLevel::kInfo;
-  if (std::strcmp(env, "DEBUG") == 0) return LogLevel::kDebug;
-  if (std::strcmp(env, "INFO") == 0) return LogLevel::kInfo;
-  if (std::strcmp(env, "WARNING") == 0) return LogLevel::kWarning;
-  if (std::strcmp(env, "ERROR") == 0) return LogLevel::kError;
-  return LogLevel::kInfo;
+inline LogLevel LogLevelFromEnv() {  // spellings in LogLevel order
+  return static_cast<LogLevel>(
+      common::EnvChoice("TGCRN_LOG_LEVEL", {"debug", "info", "warning", "error"},
+                        static_cast<int>(LogLevel::kInfo)));
 }
 
 // Mutable threshold, seeded from TGCRN_LOG_LEVEL on first use.

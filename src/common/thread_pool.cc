@@ -3,16 +3,15 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "common/check.h"
+#include "common/env.h"
 #include "common/logging.h"
 #include "obs/metrics.h"
 #include "obs/prof.h"
@@ -66,15 +65,9 @@ struct ScopedRegionFlag {
 };
 
 int DefaultNumThreads() {
-  if (const char* env = std::getenv("TGCRN_NUM_THREADS")) {
-    const int parsed = ParseNumThreads(env);
-    if (parsed > 0) return parsed;
-    TGCRN_LOG(Warning) << "ignoring invalid TGCRN_NUM_THREADS='" << env
-                       << "' (want an integer in [1, " << kMaxNumThreads
-                       << "]); using hardware concurrency";
-  }
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
+  return static_cast<int>(
+      EnvInt("TGCRN_NUM_THREADS", 1, kMaxNumThreads, hw > 0 ? hw : 1));
 }
 
 // Fixed-size pool with one persistent job slot and no task queue.
@@ -325,16 +318,6 @@ class ThreadPool {
 };
 
 }  // namespace
-
-int ParseNumThreads(const char* value) {
-  if (value == nullptr || *value == '\0') return 0;
-  errno = 0;
-  char* end = nullptr;
-  const long parsed = std::strtol(value, &end, 10);
-  if (errno != 0 || end == value || *end != '\0') return 0;
-  if (parsed < 1 || parsed > kMaxNumThreads) return 0;
-  return static_cast<int>(parsed);
-}
 
 int GetNumThreads() { return ThreadPool::Global().num_threads(); }
 

@@ -39,11 +39,6 @@ int GetNumThreads();
 // Largest pool width TGCRN_NUM_THREADS may request.
 inline constexpr int kMaxNumThreads = 1024;
 
-// Parses a TGCRN_NUM_THREADS value: the whole string must be a decimal
-// integer in [1, kMaxNumThreads]. Returns 0 for anything else (empty,
-// trailing characters, out of range).
-int ParseNumThreads(const char* value);
-
 // Sets the parallel width. n <= 0 restores the default (TGCRN_NUM_THREADS
 // env var if valid, else hardware concurrency). Waits for a dispatch in
 // flight on another thread to finish; must not be called from inside a

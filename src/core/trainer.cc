@@ -3,7 +3,6 @@
 
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 
 #include "autograd/ops.h"
 #include "common/logging.h"
@@ -79,13 +78,6 @@ std::vector<metrics::Metrics> EvaluateModel(
   PredictSplit(model, dataset, split, batch_size, &preds, &targets);
   return metrics::EvaluatePerHorizon(Tensor::Concat(preds, 0),
                                      Tensor::Concat(targets, 0), options);
-}
-
-int64_t GraphTopKFromEnv() {
-  if (const char* env = std::getenv("TGCRN_GRAPH_TOPK")) {
-    return static_cast<int64_t>(std::strtoll(env, nullptr, 10));
-  }
-  return -1;
 }
 
 TrainResult TrainAndEvaluate(ForecastModel* model,

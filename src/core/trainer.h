@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/env.h"
 #include "core/forecast_model.h"
 #include "data/dataset.h"
 #include "metrics/metrics.h"
@@ -19,11 +20,6 @@
 
 namespace tgcrn {
 namespace core {
-
-// TGCRN_GRAPH_TOPK env var as a TrainConfig::graph_topk default: the
-// parsed value when set (k > 0 = sparse top-k path, 0 = dense), -1 when
-// unset ("leave the model as constructed").
-int64_t GraphTopKFromEnv();
 
 struct TrainConfig {
   int64_t epochs = 8;
@@ -45,9 +41,9 @@ struct TrainConfig {
   // Learned-graph sparsity applied to the model before training: >= 0
   // calls ForecastModel::SetGraphTopK (> 0 = top-k CSR path, 0 = dense);
   // < 0 leaves the model as constructed. Defaults from the
-  // TGCRN_GRAPH_TOPK env var (unset => -1), so any training entry point
-  // gains the sparse path without code changes.
-  int64_t graph_topk = GraphTopKFromEnv();
+  // TGCRN_GRAPH_TOPK env var (unset or invalid => -1), so any training
+  // entry point gains the sparse path without code changes.
+  int64_t graph_topk = common::EnvInt("TGCRN_GRAPH_TOPK", 0, 1'000'000, -1);
   // Parallel width for the tensor kernels during this run: > 0 sets the
   // global pool via common::SetNumThreads (1 = exact legacy serial
   // execution), 0 leaves the current global setting (TGCRN_NUM_THREADS env

@@ -4,11 +4,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 
 #include "common/check.h"
+#include "common/env.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "nn/module.h"
@@ -123,17 +122,10 @@ void MergeStats(TensorStatsReport* into, const TensorStatsReport& other) {
 
 HealthOptions HealthOptions::FromEnv() {
   HealthOptions options;
-  if (const char* v = std::getenv("TGCRN_HEALTH")) {
-    options.enabled = v[0] != '\0' && std::strcmp(v, "0") != 0;
-  }
-  if (const char* v = std::getenv("TGCRN_HEALTH_EVERY")) {
-    if (v[0] != '\0') {
-      options.every = std::max<int64_t>(1, std::atoll(v));
-    }
-  }
-  if (const char* v = std::getenv("TGCRN_HEALTH_FATAL")) {
-    options.fatal = v[0] != '\0' && std::strcmp(v, "0") != 0;
-  }
+  options.enabled = common::EnvBool("TGCRN_HEALTH", options.enabled);
+  options.every =
+      common::EnvInt("TGCRN_HEALTH_EVERY", 1, 1'000'000, options.every);
+  options.fatal = common::EnvBool("TGCRN_HEALTH_FATAL", options.fatal);
   return options;
 }
 

@@ -10,6 +10,7 @@
 #include <mutex>
 #include <sstream>
 
+#include "common/env.h"
 #include "obs/json.h"
 
 namespace tgcrn {
@@ -251,10 +252,8 @@ bool DumpMetricsRegistry(const std::string& target) {
 }
 
 const std::string& MetricsDumpTargetFromEnv() {
-  static const std::string* target = [] {
-    const char* v = std::getenv("TGCRN_METRICS_DUMP");
-    return new std::string(v != nullptr ? v : "");
-  }();
+  static const std::string* target =
+      new std::string(common::EnvString("TGCRN_METRICS_DUMP").value_or(""));
   return *target;
 }
 

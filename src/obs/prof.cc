@@ -17,6 +17,7 @@
 // SIMD kernel table is live, so every profile is stamped with the ISA it
 // measured (scalar vs avx2 rooflines are different machines).
 #include "common/cpu_features.h"
+#include "common/env.h"
 #include "obs/json.h"
 #include "obs/trace.h"
 
@@ -424,16 +425,13 @@ void ProfExitScope(int64_t dur_ns) {
 
 ProfOptions ProfOptions::FromEnv() {
   ProfOptions options;
-  if (const char* value = std::getenv("TGCRN_PROF")) {
-    const bool off = value[0] == '\0' || (value[0] == '0' && value[1] == '\0');
-    if (!off) {
-      options.enabled = true;
-      if (!(value[0] == '1' && value[1] == '\0')) options.path = value;
-    }
+  // "1" arms the profiler, any other value but "0" is an output path.
+  const std::optional<std::string> value = common::EnvString("TGCRN_PROF");
+  if (value && *value != "0") {
+    options.enabled = true;
+    if (*value != "1") options.path = *value;
   }
-  if (const char* value = std::getenv("TGCRN_PROF_COUNTERS")) {
-    if (value[0] == '0' && value[1] == '\0') options.counters = false;
-  }
+  options.counters = common::EnvBool("TGCRN_PROF_COUNTERS", options.counters);
   return options;
 }
 

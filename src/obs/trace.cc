@@ -9,6 +9,7 @@
 #include <mutex>
 #include <vector>
 
+#include "common/env.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/prof.h"
@@ -86,8 +87,8 @@ void AtExitFlush() {
 // without code changes; the atexit hook writes the file.
 struct EnvAutoStart {
   EnvAutoStart() {
-    if (const char* path = std::getenv("TGCRN_TRACE")) {
-      if (path[0] != '\0') StartTracing(path);
+    if (const auto path = common::EnvString("TGCRN_TRACE")) {
+      StartTracing(*path);
     }
   }
 };

@@ -2,12 +2,12 @@
 #include "serve/session.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <unordered_set>
 
 #include "autograd/variable.h"
 #include "common/check.h"
+#include "common/env.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tensor/buffer_pool.h"
@@ -45,24 +45,14 @@ ServeMetrics& Metrics() {
   return metrics;
 }
 
-int64_t EnvInt(const char* value, int64_t fallback) {
-  if (value == nullptr || *value == '\0') return fallback;
-  const long long parsed = std::atoll(value);
-  return parsed > 0 ? parsed : fallback;
-}
-
 }  // namespace
 
 SessionConfig SessionConfig::FromEnv() {
   SessionConfig config;
   config.batch_max =
-      EnvInt(std::getenv("TGCRN_SERVE_BATCH_MAX"), config.batch_max);
-  const char* pad = std::getenv("TGCRN_SERVE_PAD");
-  if (pad != nullptr && std::string(pad) == "0") config.pad_batches = false;
-  config.max_entities =
-      EnvInt(std::getenv("TGCRN_SERVE_MAX_ENTITIES"), config.max_entities);
-  config.pool_min_elements =
-      EnvInt(std::getenv("TGCRN_SERVE_POOL_MIN"), config.pool_min_elements);
+      common::EnvInt("TGCRN_SERVE_BATCH_MAX", 1, 65536, config.batch_max);
+  config.max_entities = common::EnvInt("TGCRN_SERVE_MAX_ENTITIES", 1,
+                                       100'000'000, config.max_entities);
   return config;
 }
 
@@ -80,7 +70,7 @@ InferenceSession::InferenceSession(core::TGCRN* model,
   // default when the session goes away.
   TensorBufferPool& pool = TensorBufferPool::Global();
   prior_pool_floor_ = pool.min_pooled_elements();
-  pool.SetMinPooledElements(config_.pool_min_elements);
+  pool.SetMinPooledElements(1);
   // Wave-timing storage never reallocates in steady state: one call
   // produces at most ceil(observations / wave_cap) entries.
   wave_timings_.reserve(64);
@@ -91,7 +81,6 @@ InferenceSession::~InferenceSession() {
 }
 
 int64_t InferenceSession::WaveWidth(int64_t active) const {
-  if (!config_.pad_batches) return active;
   int64_t width = 1;
   while (width < active) width <<= 1;
   return width;

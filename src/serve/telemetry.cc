@@ -3,10 +3,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/check.h"
+#include "common/env.h"
 #include "obs/report.h"
 #include "obs/trace.h"
 
@@ -22,12 +21,6 @@ const char* const kStageNames[kServeStageCount] = {
 const char* const kOpNames[] = {
     "observe", "forecast", "evict", "stats", "shutdown", "other",
 };
-
-int64_t EnvInt64(const char* value, int64_t fallback) {
-  if (value == nullptr || *value == '\0') return fallback;
-  const long long parsed = std::atoll(value);
-  return parsed >= 0 ? parsed : fallback;
-}
 
 // The single armed telemetry instance, reachable from the observability
 // flush hook (abort path / SIGTERM) without plumbing a pointer there.
@@ -50,12 +43,12 @@ const char* ServeOpName(int op) {
 
 TelemetryConfig TelemetryConfig::FromEnv() {
   TelemetryConfig config;
-  const char* path = std::getenv("TGCRN_SERVE_ACCESS_LOG");
-  if (path != nullptr) config.access_log_path = path;
-  config.slow_us =
-      EnvInt64(std::getenv("TGCRN_SERVE_SLOW_US"), config.slow_us);
-  config.drift_every =
-      EnvInt64(std::getenv("TGCRN_SERVE_DRIFT_EVERY"), config.drift_every);
+  config.access_log_path = common::EnvString("TGCRN_SERVE_ACCESS_LOG")
+                               .value_or(config.access_log_path);
+  config.slow_us = common::EnvInt("TGCRN_SERVE_SLOW_US", 0, 3'600'000'000,
+                                  config.slow_us);
+  config.drift_every = common::EnvInt("TGCRN_SERVE_DRIFT_EVERY", 0,
+                                      1'000'000'000, config.drift_every);
   return config;
 }
 

@@ -1,10 +1,9 @@
 // Copyright 2026 TGCRN Reproduction Authors
 #include "tensor/buffer_pool.h"
 
-#include <cstdlib>
 #include <mutex>
-#include <string>
 
+#include "common/env.h"
 #include "obs/metrics.h"
 
 namespace tgcrn {
@@ -63,19 +62,15 @@ PoolCounters& Counters() {
   return counters;
 }
 
-bool EnabledFromEnv() {
-  const char* env = std::getenv("TGCRN_TENSOR_POOL");
-  return env == nullptr || std::string(env) != "0";
-}
-
-int64_t MaxRetainedBytesFromEnv() {
-  const char* env = std::getenv("TGCRN_TENSOR_POOL_MAX_MB");
-  if (env == nullptr) return kDefaultMaxRetainedBytes;
-  const long long mb = std::atoll(env);
-  return mb > 0 ? mb * 1024ll * 1024ll : kDefaultMaxRetainedBytes;
-}
+bool EnabledFromEnv() { return common::EnvBool("TGCRN_TENSOR_POOL", true); }
 
 }  // namespace
+
+// The [1, 1 TiB] range keeps the byte count far from overflow.
+int64_t TensorPoolMaxRetainedBytesFromEnv() {
+  return common::EnvInt("TGCRN_TENSOR_POOL_MAX_MB", 1, 1 << 20,
+                        kDefaultMaxRetainedBytes >> 20) << 20;
+}
 
 struct TensorBufferPool::Impl {
   mutable std::mutex mu;
@@ -95,7 +90,7 @@ struct TensorBufferPool::Impl {
 
 TensorBufferPool::TensorBufferPool() : impl_(new Impl) {
   impl_->enabled = EnabledFromEnv();
-  impl_->max_retained_bytes = MaxRetainedBytesFromEnv();
+  impl_->max_retained_bytes = TensorPoolMaxRetainedBytesFromEnv();
 }
 
 TensorBufferPool& TensorBufferPool::Global() {

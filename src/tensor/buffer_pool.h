@@ -39,6 +39,9 @@
 
 namespace tgcrn {
 
+// The retained-bytes cap TGCRN_TENSOR_POOL_MAX_MB sets, read at pool start.
+int64_t TensorPoolMaxRetainedBytesFromEnv();
+
 class TensorBufferPool {
  public:
   // Process-global pool (leaked, like the metric registry, so storage

@@ -495,21 +495,6 @@ TEST(ThreadPoolTest, RandomizedBackToBackStress) {
   }
 }
 
-TEST(ThreadPoolTest, ParseNumThreadsIsStrict) {
-  EXPECT_EQ(common::ParseNumThreads("4"), 4);
-  EXPECT_EQ(common::ParseNumThreads("1"), 1);
-  EXPECT_EQ(common::ParseNumThreads("1024"), common::kMaxNumThreads);
-  EXPECT_EQ(common::ParseNumThreads("4x"), 0);
-  EXPECT_EQ(common::ParseNumThreads("abc"), 0);
-  EXPECT_EQ(common::ParseNumThreads(""), 0);
-  EXPECT_EQ(common::ParseNumThreads("0"), 0);
-  EXPECT_EQ(common::ParseNumThreads("-2"), 0);
-  EXPECT_EQ(common::ParseNumThreads("1025"), 0);
-  EXPECT_EQ(common::ParseNumThreads("2.5"), 0);
-  EXPECT_EQ(common::ParseNumThreads("99999999999999999999"), 0);
-  EXPECT_EQ(common::ParseNumThreads(nullptr), 0);
-}
-
 // An invalid TGCRN_NUM_THREADS is named in a warning and ignored: the
 // default width falls back to hardware concurrency.
 TEST(ThreadPoolTest, InvalidNumThreadsEnvIsIgnoredWithWarning) {

@@ -4,12 +4,13 @@
 #   1. Every intra-repo link in the committed markdown files resolves to an
 #      existing file (external http(s)/mailto links and pure #anchors are
 #      skipped; a #fragment on a file link is stripped before the check).
-#   2. The TGCRN_* environment variables read via getenv() in the sources
-#      exactly match the rows of the env-var table in docs/API.md, in both
-#      directions — an undocumented variable or a documented-but-gone
-#      variable both fail.
+#   2. The TGCRN_* environment variables read via the common/env readers
+#      in the sources exactly match the rows of the env-var table in
+#      docs/API.md, in both directions — an undocumented variable or a
+#      documented-but-gone variable both fail, as does any getenv() call
+#      outside src/common/env.cc.
 #
-# Usage: tools/check_docs.sh   (from anywhere; resolves the repo root itself)
+# Usage: tools/check_docs.sh   (from anywhere; also the ctest `check_docs`)
 set -u
 
 cd "$(dirname "$0")/.." || exit 1
@@ -36,8 +37,13 @@ for f in "${md_files[@]}"; do
 done
 
 # --- 2. TGCRN_* env vars: source vs docs/API.md ---------------------------
-src_vars="$(grep -rhoE 'getenv\("TGCRN_[A-Z0-9_]+"\)' src tools bench \
-              | sed -E 's/getenv\("//; s/"\)//' | sort -u)"
+for f in $(grep -rl getenv src tools bench --include='*.cc' --include='*.h'); do
+  [ "$f" = src/common/env.cc ] || { echo "getenv() outside common/env: $f"; fail=1; }
+done
+# -z reads each file as one record, so a call may wrap before the name.
+src_vars="$(grep -rhoPz 'Env(String|Bool|Int|Choice)\(\s*"TGCRN_[A-Z0-9_]+"' \
+              src tools bench --include='*.cc' --include='*.h' \
+              | tr '\0' '\n' | grep -oE 'TGCRN_[A-Z0-9_]+' | sort -u)"
 doc_vars="$(grep -oE '^\| TGCRN_[A-Z0-9_]+ ' docs/API.md \
               | sed -E 's/^\| //; s/ $//' | sort -u)"
 
