@@ -119,7 +119,7 @@ void EmitTable(const std::string& bench_name, const TablePrinter& table);
 // bench_results/history/<bench_name>_history.csv (header written on
 // create): UTC timestamp, scale, threads, s/epoch, and the trainer's phase
 // seconds. The growing file is the perf trajectory the regression gate
-// (tgcrn_report_diff, docs/BENCHMARKS.md) diffs across commits.
+// (`tgcrn_obs diff`, docs/BENCHMARKS.md) diffs across commits.
 void AppendCostHistory(const std::string& bench_name,
                        const std::string& label, const Scale& scale,
                        const core::TrainResult& result);

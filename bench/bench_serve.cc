@@ -11,7 +11,7 @@
 //
 // With --report, the run is written as RunReport JSONL whose epoch line
 // carries phase_seconds {serve_p50, serve_p99, serve_mean} — the rows
-// tgcrn_report_diff gates against bench_results/baselines/serve_smoke.jsonl
+// `tgcrn_obs diff` gates against bench_results/baselines/serve_smoke.jsonl
 // in CI, exactly how training-phase timings are gated. With
 // --require-zero-alloc 1 the bench exits non-zero on any steady-state
 // tensor heap allocation.
@@ -39,6 +39,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/env.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/tgcrn.h"
@@ -73,35 +74,51 @@ struct Args {
 };
 
 bool ParseArgs(int argc, char** argv, Args* args) {
-  for (int i = 1; i + 1 < argc; i += 2) {
+  if (argc % 2 != 1) return false;  // every flag takes one value
+  for (int i = 1; i < argc; i += 2) {
     const std::string flag = argv[i];
-    const std::string value = argv[i + 1];
-    if (flag == "--entities") args->entities = std::stoll(value);
-    else if (flag == "--warm-steps") args->warm_steps = std::stoll(value);
-    else if (flag == "--requests") args->requests = std::stoll(value);
+    const char* value = argv[i + 1];
+    bool valid = true;
+    // A whole integer in [lo, hi]; anything else fails the parse.
+    auto integer = [&](int64_t lo, int64_t hi) {
+      const auto parsed = tgcrn::common::ParseInt(value, lo, hi);
+      valid = parsed.has_value();
+      return parsed.value_or(0);
+    };
+    if (flag == "--entities") args->entities = integer(1, 1000000);
+    else if (flag == "--warm-steps") args->warm_steps = integer(0, 1000000);
+    else if (flag == "--requests") args->requests = integer(1, 1000000000);
     else if (flag == "--forecast-every") {
-      args->forecast_every = std::stoll(value);
-    } else if (flag == "--rate") args->rate = std::stod(value);
-    else if (flag == "--nodes") args->nodes = std::stoll(value);
-    else if (flag == "--hidden") args->hidden = std::stoll(value);
-    else if (flag == "--horizon") args->horizon = std::stoll(value);
+      args->forecast_every = integer(2, 1000000);
+    } else if (flag == "--rate") {
+      const auto rate = tgcrn::common::ParseDouble(value, 1e-6, 1e9);
+      valid = rate.has_value();
+      args->rate = rate.value_or(0.0);
+    } else if (flag == "--nodes") args->nodes = integer(1, 1000000);
+    else if (flag == "--hidden") args->hidden = integer(1, 100000);
+    else if (flag == "--horizon") args->horizon = integer(1, 10000);
     else if (flag == "--steps-per-day") {
-      args->steps_per_day = std::stoll(value);
-    } else if (flag == "--topk") args->topk = std::stoll(value);
-    else if (flag == "--batch-max") args->batch_max = std::stoll(value);
-    else if (flag == "--seed") args->seed = std::stoull(value);
-    else if (flag == "--threads") args->threads = std::stoi(value);
-    else if (flag == "--report") args->report_path = value;
+      args->steps_per_day = integer(1, 86400);
+    } else if (flag == "--topk") args->topk = integer(0, 1000000);
+    else if (flag == "--batch-max") args->batch_max = integer(1, 65536);
+    else if (flag == "--seed") args->seed = integer(0, INT64_MAX);
+    else if (flag == "--threads") {
+      args->threads = integer(0, tgcrn::common::kMaxNumThreads);
+    } else if (flag == "--report") args->report_path = value;
     else if (flag == "--access-log") args->access_log_path = value;
     else if (flag == "--require-zero-alloc") {
-      args->require_zero_alloc = value != "0";
+      args->require_zero_alloc = integer(0, 1) == 1;
     } else {
       std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
       return false;
     }
+    if (!valid) {
+      std::fprintf(stderr, "invalid value '%s' for %s\n", value,
+                   flag.c_str());
+      return false;
+    }
   }
-  return args->entities > 0 && args->requests > 0 &&
-         args->forecast_every > 1 && args->rate > 0.0;
+  return true;
 }
 
 struct Client {
@@ -458,7 +475,7 @@ int main(int argc, char** argv) {
     epoch.phase_seconds["serve_mean"] = mean_s;
     if (telemetry) {
       // Per-stage p50 columns (seconds, like every phase row) for the
-      // kernel-adjacent stages — report_diff gates them in CI the same
+      // kernel-adjacent stages — `tgcrn_obs diff` gates them in CI the same
       // way it gates serve_p50.
       for (const char* name : {"gather", "kernel", "scatter"}) {
         const tgcrn::obs::HistogramSnapshot snap =

@@ -4,6 +4,7 @@
 #include <strings.h>
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
@@ -44,6 +45,18 @@ std::optional<int64_t> ParseInt(const char* value, int64_t lo, int64_t hi) {
   char* end = nullptr;
   const long long parsed = std::strtoll(value, &end, 10);
   if (errno != 0 || *end != '\0' || parsed < lo || parsed > hi) {
+    return std::nullopt;
+  }
+  return parsed;
+}
+
+std::optional<double> ParseDouble(const char* value, double lo, double hi) {
+  if (value == nullptr || *value == '\0') return std::nullopt;
+  errno = 0;
+  char* end = nullptr;
+  const double parsed = std::strtod(value, &end);
+  if (errno != 0 || *end != '\0' || !std::isfinite(parsed) || parsed < lo ||
+      parsed > hi) {
     return std::nullopt;
   }
   return parsed;

@@ -18,6 +18,9 @@ namespace common {
 // A whole decimal integer in [lo, hi]; nullopt for anything else (null,
 // empty, trailing characters, overflow, out of range).
 std::optional<int64_t> ParseInt(const char* value, int64_t lo, int64_t hi);
+// A whole finite decimal number in [lo, hi]; nullopt for anything else
+// (null, empty, trailing characters, nan, inf, overflow, out of range).
+std::optional<double> ParseDouble(const char* value, double lo, double hi);
 
 // A string or path; nullopt when unset or empty.
 std::optional<std::string> EnvString(const char* name);

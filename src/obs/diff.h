@@ -1,6 +1,6 @@
 // Copyright 2026 TGCRN Reproduction Authors
 // Regression diffing of two run reports (obs/report.h), the library behind
-// the tgcrn_report_diff CLI and the CI quick-scale gate. Compares a
+// the `tgcrn_obs diff` CLI and the CI quick-scale gate. Compares a
 // baseline and a candidate run on the loss curve, validation/test metrics,
 // per-phase wall clock, and health counters, and classifies each compared
 // metric as regressed or not against a percentage threshold.
@@ -74,8 +74,9 @@ ReportDiffResult DiffReports(const RunReport& baseline,
 // Diffs two standalone profiler reports (e.g. the JSON files written by
 // TGCRN_PROF=path or `train_model --prof`) under the profiler gating rules
 // above. DiffReports applies the same rules to the accumulated per-epoch
-// "prof" blocks when both runs carried them; this entry point serves the
-// `tgcrn_prof diff` CLI, which sees profiles without a surrounding run.
+// "prof" blocks when both runs carried them; this entry point serves
+// `tgcrn_obs diff` when either side is a profile without a surrounding
+// run.
 ReportDiffResult DiffProfiles(const ProfReport& baseline,
                               const ProfReport& candidate,
                               const ReportDiffOptions& options);

@@ -9,7 +9,7 @@
 //
 //  * per-stage log2 histograms in the metric registry
 //    (serve.stage_<name>_us), summarized by the extended `stats` op and
-//    the tgcrn_serve_stats CLI;
+//    `tgcrn_obs show|watch|slow`;
 //  * a structured JSONL access log (TGCRN_SERVE_ACCESS_LOG=<path>), one
 //    line per request, plus a bounded slow-request exemplar ring
 //    (requests over TGCRN_SERVE_SLOW_US µs) retrievable via

@@ -82,6 +82,27 @@ TEST(EnvTest, ParseIntIsStrict) {
   EXPECT_EQ(ParseThreads(nullptr), 0);
 }
 
+// The numeric CLI flags (--lr, --rate, percentages, --interval) parse
+// through the same full-consume rule.
+TEST(EnvTest, ParseDoubleIsStrict) {
+  using common::ParseDouble;
+  EXPECT_EQ(ParseDouble("2.5", 0.0, 10.0), 2.5);
+  EXPECT_EQ(ParseDouble("-1", -1.0, 10.0), -1.0);
+  EXPECT_EQ(ParseDouble("3e-3", 0.0, 1.0), 3e-3);
+  EXPECT_EQ(ParseDouble("10", 0.0, 10.0), 10.0);
+  EXPECT_FALSE(ParseDouble("", 0.0, 10.0).has_value());
+  EXPECT_FALSE(ParseDouble(nullptr, 0.0, 10.0).has_value());
+  EXPECT_FALSE(ParseDouble("1e", 0.0, 10.0).has_value());
+  EXPECT_FALSE(ParseDouble("nan", -1e300, 1e300).has_value());
+  EXPECT_FALSE(ParseDouble("inf", -1e300, 1e300).has_value());
+  EXPECT_FALSE(ParseDouble("-inf", -1e300, 1e300).has_value());
+  EXPECT_FALSE(ParseDouble("2x", 0.0, 10.0).has_value());
+  EXPECT_FALSE(ParseDouble("abc", 0.0, 10.0).has_value());
+  EXPECT_FALSE(ParseDouble("10.5", 0.0, 10.0).has_value());
+  EXPECT_FALSE(ParseDouble("-0.5", 0.0, 10.0).has_value());
+  EXPECT_FALSE(ParseDouble("1e999", 0.0, 1e300).has_value());
+}
+
 TEST(EnvTest, StringTreatsEmptyAsUnset) {
   {
     ScopedEnv env("TGCRN_TEST_PATH", nullptr);

@@ -293,8 +293,8 @@ TEST(ProfDeterminismTest, MatmulFlopModelMatchesShape) {
   const Tensor a = Tensor::RandUniform({32, 80}, -1.0f, 1.0f, &rng);
   const Tensor b = Tensor::RandUniform({80, 24}, -1.0f, 1.0f, &rng);
   (void)a.Matmul(b);
-  const obs::ProfKernelReport* kernel =
-      FindKernel(obs::CollectProfReport(), "tensor.Matmul");
+  const obs::ProfReport report = obs::CollectProfReport();
+  const obs::ProfKernelReport* kernel = FindKernel(report, "tensor.Matmul");
   ASSERT_NE(kernel, nullptr);
   EXPECT_EQ(kernel->invocations, 1);
   EXPECT_DOUBLE_EQ(kernel->flops, 2.0 * 32 * 24 * 80);

@@ -20,7 +20,19 @@ fail=0
 # Matches the inline form [text](target). Reference-style links are not used
 # in this repo. Targets inside code spans are rare enough that false
 # positives would show up as a hard failure here, so we keep the grep simple.
-mapfile -t md_files < <(git ls-files --cached --others --exclude-standard '*.md')
+# Outside a git work tree (e.g. an unpacked archive) the files are found
+# on disk instead; an empty list fails rather than passing vacuously.
+if git rev-parse --is-inside-work-tree > /dev/null 2>&1; then
+  mapfile -t md_files < <(git ls-files --cached --others --exclude-standard '*.md')
+else
+  mapfile -t md_files < <(find . -type d \( -name .git -o -name 'build*' \
+                            -o -name .bench_build \) -prune \
+                            -o -type f -name '*.md' -print | sed 's|^\./||')
+fi
+if [ "${#md_files[@]}" -eq 0 ]; then
+  echo "check_docs: no markdown files found"
+  fail=1
+fi
 for f in "${md_files[@]}"; do
   while IFS= read -r target; do
     case "$target" in

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <string>
 
+#include "common/env.h"
 #include "common/table_printer.h"
 #include "data/csv_loader.h"
 #include "datagen/demand_sim.h"
@@ -28,22 +29,35 @@ struct Args {
 };
 
 bool ParseArgs(int argc, char** argv, Args* args) {
-  if (argc < 3) return false;
+  // Every flag after the kind and the output takes one value.
+  if (argc < 3 || argc % 2 != 1) return false;
   args->kind = argv[1];
   args->output = argv[2];
-  for (int i = 3; i + 1 < argc; i += 2) {
+  for (int i = 3; i < argc; i += 2) {
     const std::string flag = argv[i];
-    const std::string value = argv[i + 1];
+    const char* value = argv[i + 1];
+    bool valid = true;
+    // A whole integer in [lo, hi]; anything else fails the parse.
+    auto integer = [&](int64_t lo, int64_t hi) {
+      const auto parsed = tgcrn::common::ParseInt(value, lo, hi);
+      valid = parsed.has_value();
+      return parsed.value_or(0);
+    };
     if (flag == "--nodes") {
-      args->nodes = std::stoll(value);
+      args->nodes = integer(0, 1000000);
     } else if (flag == "--days") {
-      args->days = std::stoll(value);
+      args->days = integer(0, 100000);
     } else if (flag == "--seed") {
-      args->seed = std::stoull(value);
+      args->seed = integer(0, INT64_MAX);
     } else if (flag == "--distances") {
       args->distances_path = value;
     } else {
       std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
+      return false;
+    }
+    if (!valid) {
+      std::fprintf(stderr, "invalid value '%s' for %s\n", value,
+                   flag.c_str());
       return false;
     }
   }

@@ -22,6 +22,7 @@
 #include <string>
 #include <utility>
 
+#include "common/env.h"
 #include "common/thread_pool.h"
 #include "core/tgcrn.h"
 #include "data/csv_loader.h"
@@ -62,26 +63,40 @@ bool ParseArgs(int argc, char** argv, Args* args) {
   if (argc < 2) return false;
   int i = 1;
   if (argv[1][0] != '-') args->data_path = argv[i++];
-  for (; i + 1 < argc; i += 2) {
+  if ((argc - i) % 2 != 0) return false;  // every flag takes one value
+  for (; i < argc; i += 2) {
     const std::string flag = argv[i];
-    const std::string value = argv[i + 1];
+    const char* value = argv[i + 1];
+    bool valid = true;
+    // A whole integer in [lo, hi]; anything else fails the parse.
+    auto integer = [&](int64_t lo, int64_t hi) {
+      const auto parsed = tgcrn::common::ParseInt(value, lo, hi);
+      valid = parsed.has_value();
+      return parsed.value_or(0);
+    };
     if (flag == "--ckpt") args->ckpt_path = value;
-    else if (flag == "--nodes") args->csv.num_nodes = std::stoll(value);
-    else if (flag == "--features") args->csv.num_features = std::stoll(value);
+    else if (flag == "--nodes") args->csv.num_nodes = integer(1, 1000000);
+    else if (flag == "--features") args->csv.num_features = integer(1, 4096);
     else if (flag == "--steps-per-day") {
-      args->csv.steps_per_day = std::stoll(value);
-    } else if (flag == "--input-steps") args->input_steps = std::stoll(value);
+      args->csv.steps_per_day = integer(1, 86400);
+    } else if (flag == "--input-steps") args->input_steps = integer(1, 10000);
     else if (flag == "--output-steps") {
-      args->output_steps = std::stoll(value);
-    } else if (flag == "--hidden") args->hidden = std::stoll(value);
-    else if (flag == "--graph-topk") args->graph_topk = std::stoll(value);
-    else if (flag == "--port") args->port = std::stoi(value);
-    else if (flag == "--threads") args->threads = std::stoi(value);
-    else if (flag == "--seed") args->seed = std::stoull(value);
+      args->output_steps = integer(1, 10000);
+    } else if (flag == "--hidden") args->hidden = integer(1, 100000);
+    else if (flag == "--graph-topk") args->graph_topk = integer(0, 1000000);
+    else if (flag == "--port") args->port = integer(0, 65535);
+    else if (flag == "--threads") {
+      args->threads = integer(0, tgcrn::common::kMaxNumThreads);
+    } else if (flag == "--seed") args->seed = integer(0, INT64_MAX);
     else if (flag == "--variant") args->variant = value;
     else if (flag == "--prof") args->prof_path = value;
     else {
       std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
+      return false;
+    }
+    if (!valid) {
+      std::fprintf(stderr, "invalid value '%s' for %s\n", value,
+                   flag.c_str());
       return false;
     }
   }

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <string>
 
+#include "common/env.h"
 #include "common/thread_pool.h"
 #include "core/tgcrn.h"
 #include "core/trainer.h"
@@ -40,24 +41,36 @@ struct Args {
 };
 
 bool ParseArgs(int argc, char** argv, Args* args) {
-  if (argc < 2) return false;
+  // argv[1] is the data file; every flag after it takes one value.
+  if (argc < 2 || argc % 2 != 0) return false;
   args->data_path = argv[1];
-  for (int i = 2; i + 1 < argc; i += 2) {
+  for (int i = 2; i < argc; i += 2) {
     const std::string flag = argv[i];
-    const std::string value = argv[i + 1];
-    if (flag == "--nodes") args->csv.num_nodes = std::stoll(value);
-    else if (flag == "--features") args->csv.num_features = std::stoll(value);
+    const char* value = argv[i + 1];
+    bool valid = true;
+    // A whole integer in [lo, hi]; anything else fails the parse.
+    auto integer = [&](int64_t lo, int64_t hi) {
+      const auto parsed = tgcrn::common::ParseInt(value, lo, hi);
+      valid = parsed.has_value();
+      return parsed.value_or(0);
+    };
+    if (flag == "--nodes") args->csv.num_nodes = integer(1, 1000000);
+    else if (flag == "--features") args->csv.num_features = integer(1, 4096);
     else if (flag == "--steps-per-day") {
-      args->csv.steps_per_day = std::stoll(value);
-    } else if (flag == "--input-steps") args->input_steps = std::stoll(value);
+      args->csv.steps_per_day = integer(1, 86400);
+    } else if (flag == "--input-steps") args->input_steps = integer(1, 10000);
     else if (flag == "--output-steps") {
-      args->output_steps = std::stoll(value);
-    } else if (flag == "--epochs") args->epochs = std::stoll(value);
-    else if (flag == "--hidden") args->hidden = std::stoll(value);
-    else if (flag == "--lr") args->lr = std::stof(value);
-    else if (flag == "--seed") args->seed = std::stoull(value);
-    else if (flag == "--threads") args->threads = std::stoi(value);
-    else if (flag == "--graph-topk") args->graph_topk = std::stoll(value);
+      args->output_steps = integer(1, 10000);
+    } else if (flag == "--epochs") args->epochs = integer(0, 1000000);
+    else if (flag == "--hidden") args->hidden = integer(1, 100000);
+    else if (flag == "--lr") {
+      const auto lr = tgcrn::common::ParseDouble(value, 0.0, 10.0);
+      valid = lr.has_value();
+      args->lr = static_cast<float>(lr.value_or(0.0));
+    } else if (flag == "--seed") args->seed = integer(0, INT64_MAX);
+    else if (flag == "--threads") {
+      args->threads = integer(0, tgcrn::common::kMaxNumThreads);
+    } else if (flag == "--graph-topk") args->graph_topk = integer(0, 1000000);
     else if (flag == "--variant") args->variant = value;
     else if (flag == "--save") args->save_path = value;
     else if (flag == "--report") args->report_path = value;
@@ -65,6 +78,11 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     else if (flag == "--prof") args->prof_path = value;
     else {
       std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
+      return false;
+    }
+    if (!valid) {
+      std::fprintf(stderr, "invalid value '%s' for %s\n", value,
+                   flag.c_str());
       return false;
     }
   }
